@@ -74,7 +74,8 @@ type Prediction struct {
 
 // Predict computes the static AVF prediction of one benchmark under one
 // scheme and fault model. It runs the fault-free golden execution (and
-// its recorded schedule) but injects nothing.
+// its recorded schedule, from which the census and strata derive) but
+// injects nothing.
 func Predict(arch gpu.Config, spec *core.KernelSpec, opt core.Options, model flame.FaultModel) (*Prediction, error) {
 	g, err := core.GoldenRun(arch, spec, opt)
 	if err != nil {

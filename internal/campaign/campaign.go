@@ -192,9 +192,9 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Pruning oracles, one per workload (sequential, like the goldens:
-	// each records the golden schedule once). A benchmark that fails a
-	// soundness gate gets a disabled index and falls back to simulation.
+	// Pruning oracles, one per workload, derived from the schedule each
+	// golden run recorded. A benchmark that fails a soundness gate gets
+	// a disabled index and falls back to simulation.
 	pruneIdx := make([]*core.PruneIndex, len(cfg.Specs))
 	pruneOff := make([]string, len(cfg.Specs))
 	if cfg.Prune {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"flame/internal/flame"
-	"flame/internal/isa"
 )
 
 // SiteCensus partitions the single-strike arm-cycle space [0, ArmSpan)
@@ -55,13 +54,13 @@ func (c *SiteCensus) CertainMasked() float64 { return float64(c.DeadStatic) + c.
 func (c *SiteCensus) Vulnerable() float64 { return c.LiveRegister + float64(c.StoreData) }
 
 // Census walks the recorded golden schedule once and partitions the
-// arm-cycle space under the given fault model. It mirrors PruneTrial's
-// single-strike eligibility event-for-event — each corruptible event
-// owns the arm cycles between the previous corruptible event and
-// itself — so the CertainMasked mass counted here is exactly the
-// probability mass the pruner would classify Masked (detection aside)
-// under the injector's uniform lane draw. Fails when the index is
-// disabled.
+// arm-cycle space under the given fault model. Eligibility is the
+// injector's own (flame.StrikeSite over non-empty strike-lane sets), and
+// each corruptible event owns the arm cycles between the previous
+// corruptible event and itself — so the CertainMasked mass counted here
+// is exactly the probability mass PruneTrial would classify Masked
+// (detection aside) under the injector's uniform lane draw. Fails when
+// the index is disabled.
 func (px *PruneIndex) Census(g *Golden, model flame.FaultModel) (*SiteCensus, error) {
 	if px == nil || px.disabled != "" {
 		return nil, fmt.Errorf("census: pruning disabled: %s", px.Disabled())
@@ -80,6 +79,10 @@ func (px *PruneIndex) Census(g *Golden, model flame.FaultModel) (*SiteCensus, er
 			continue
 		}
 		in := &prog.Insts[ev.pc]
+		site := flame.StrikeSite(in, model, px.acl)
+		if site == flame.NoSite {
+			continue
+		}
 		hi := ev.cyc
 		if hi > span-1 {
 			hi = span - 1
@@ -89,20 +92,14 @@ func (px *PruneIndex) Census(g *Golden, model flame.FaultModel) (*SiteCensus, er
 		}
 		owned := hi - prev
 		switch {
-		case in.Defs() != isa.NoReg && in.Origin != isa.OrigDup &&
-			(model == flame.FullSite || !px.acl[in.Defs()]):
-			if !px.storeReach[in.Defs()] {
-				c.DeadStatic += owned
-			} else {
-				vl := bits.OnesCount32(px.vuln[evi])
-				frac := float64(vl) / float64(lanes)
-				c.LiveRegister += float64(owned) * frac
-				c.DeadDynamic += float64(owned) * (1 - frac)
-			}
-		case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
+		case site == flame.StoreDataSite:
 			c.StoreData += owned
+		case !px.storeReach[in.Defs()]:
+			c.DeadStatic += owned
 		default:
-			continue
+			frac := float64(bits.OnesCount32(px.vuln[evi])) / float64(lanes)
+			c.LiveRegister += float64(owned) * frac
+			c.DeadDynamic += float64(owned) * (1 - frac)
 		}
 		prev = hi
 	}

@@ -5,7 +5,6 @@ import (
 
 	"flame/internal/flame"
 	"flame/internal/gpu"
-	"flame/internal/isa"
 )
 
 // Engine runs injection trials on pooled devices: one gpu.Device per
@@ -87,39 +86,6 @@ func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
 	return dev, nil
 }
 
-// launchOne runs one compiled kernel on the device, optionally with the
-// injector attached, accumulating stats into res. It mirrors
-// RunCompiledOpts' per-launch behaviour (including error text) exactly.
-func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
-	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result) error {
-	ctl := c.Controller()
-	var hooks *gpu.Hooks
-	switch {
-	case ctl != nil:
-		if inj != nil {
-			ctl.Inj = inj
-		}
-		hooks = ctl.Hooks()
-	case inj != nil:
-		hooks = &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-			inj.Observe(d, sm, w, pc)
-		}}
-	}
-	launch := &gpu.Launch{
-		Prog: c.Prog, Grid: grid, Block: block, Params: params,
-		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
-	}
-	st, err := dev.Run(launch, gpu.CombineHooks(hooks, ro.Hooks))
-	if err != nil {
-		return fmt.Errorf("%s/%s: %w", spec.Name, c.Opt.Scheme, err)
-	}
-	res.Stats.Accumulate(st)
-	if ctl != nil {
-		res.Flame.Accumulate(&ctl.Stats)
-	}
-	return nil
-}
-
 // RunTrial executes one injection trial on the pooled device and
 // classifies the outcome exactly as core.RunTrial does, diffing the
 // device's final memory against the golden image in place (no copy).
@@ -156,14 +122,10 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		}
 		e.stats.Trials++
 		res := &Result{}
-		// The injector observes only the main kernel's launch, as in
-		// RunCompiledOpts.
 		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
 			inj, ro, res)
-		for i := 0; err == nil && i < len(spec.Steps); i++ {
-			step := spec.Steps[i]
-			err = launchOne(dev, spec, g.StepComps[i], step.Grid, step.Block,
-				step.Params, nil, ro, res)
+		if err == nil {
+			err = runSteps(dev, spec, g.StepComps, ro, res)
 		}
 		tr.Recoveries = res.Flame.Recoveries
 		tr.Cycles = res.Stats.Cycles

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -42,6 +43,44 @@ func TestGoldenSharedAcrossEnginesImmutable(t *testing.T) {
 		if after := g.Fingerprint(); after != before {
 			t.Fatalf("%s: golden mutated by concurrent trials: fingerprint %#x -> %#x",
 				spec.Name, before, after)
+		}
+	}
+}
+
+// TestGoldenScheduleDeterministic: the prune index, strata and census
+// are pure functions of the schedule GoldenRun records, so two golden
+// runs must record identical schedules, and recording must not perturb
+// the run itself — cycles and final memory equal a plain simulation's.
+func TestGoldenScheduleDeterministic(t *testing.T) {
+	cfg := testCfg()
+	for _, opt := range []Options{{Scheme: Baseline}, FlameOptions()} {
+		for _, spec := range []*KernelSpec{saxpySpec(), stepSpec(), deadTailSpec()} {
+			g1, err := GoldenRun(cfg, spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g2, err := GoldenRun(cfg, spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g1.schedule) == 0 || g1.scheduleFull {
+				t.Fatalf("%s/%s: no schedule recorded", spec.Name, opt.Scheme)
+			}
+			if !reflect.DeepEqual(g1.schedule, g2.schedule) || g1.mainCycles != g2.mainCycles {
+				t.Fatalf("%s/%s: two golden runs recorded different schedules", spec.Name, opt.Scheme)
+			}
+			plain, err := RunCompiledOpts(cfg, spec, g1.Comp, nil, RunOpts{KeepMem: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Stats.Cycles != g1.Window || !reflect.DeepEqual(plain.Mem, g1.Mem) {
+				t.Fatalf("%s/%s: recorded golden (%d cycles) differs from a plain run (%d cycles)",
+					spec.Name, opt.Scheme, g1.Window, plain.Stats.Cycles)
+			}
+			if len(spec.Steps) > 0 && g1.mainCycles >= g1.Window {
+				t.Fatalf("%s/%s: main launch %d cycles of a %d-cycle window with Steps",
+					spec.Name, opt.Scheme, g1.mainCycles, g1.Window)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"flame/internal/flame"
 	"flame/internal/gpu"
 )
 
@@ -40,46 +39,31 @@ func (m *MaskingResult) String() string {
 // MaskingCampaign injects n faults into baseline (unprotected) runs of
 // the workload and classifies each outcome. It demonstrates why
 // detection is needed at all: unmasked faults silently corrupt output.
+// Each trial draws its arm cycle, then its injector seed, from one
+// math/rand stream, and runs on the trial engine against a Baseline
+// golden — every launch of the workload (Steps included), classified by
+// bit-exact diff against the golden's final memory.
 func MaskingCampaign(cfg gpu.Config, spec *KernelSpec, n int, seed int64) (*MaskingResult, error) {
-	comp, err := Compile(spec.Prog, Options{Scheme: Baseline})
+	g, err := GoldenRun(cfg, spec, Options{Scheme: Baseline})
 	if err != nil {
 		return nil, err
 	}
-	// Fault-free run to learn the execution window.
-	free, err := RunCompiled(cfg, spec, comp, nil)
-	if err != nil {
-		return nil, err
-	}
-	window := free.Stats.Cycles
+	eng := NewEngine(cfg)
 	rng := rand.New(rand.NewSource(seed))
 	out := &MaskingResult{Runs: n}
 	for i := 0; i < n; i++ {
-		inj := flame.NewInjector(rng.Int63n(window*9/10+1), 0, rng.Int63())
-		dev, err := gpu.NewDevice(cfg, spec.MemBytes)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Setup != nil {
-			spec.Setup(dev.Mem.Words())
-		}
-		hooks := &gpu.Hooks{
-			OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-				inj.Observe(d, sm, w, pc)
-			},
-		}
-		launch := &gpu.Launch{Prog: comp.Prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
-		if _, err := dev.Run(launch, hooks); err != nil {
-			out.Crashed++
-			continue
-		}
-		if !inj.Injected {
-			continue
-		}
-		out.Armed++
-		if spec.Validate != nil && spec.Validate(dev.Mem.Words()) != nil {
-			out.SDC++
-		} else {
+		arm := rng.Int63n(g.ArmSpan())
+		tr := eng.RunTrial(spec, g, TrialSpec{Arms: []int64{arm}, Seed: rng.Int63()})
+		switch tr.Outcome {
+		case OutcomeNoInjection:
+		case OutcomeMasked, OutcomeRecovered:
+			out.Armed++
 			out.Masked++
+		case OutcomeSDC:
+			out.Armed++
+			out.SDC++
+		default: // DUE, Hang, Internal: the run failed outright
+			out.Crashed++
 		}
 	}
 	return out, nil

@@ -2,17 +2,17 @@
 // provably cannot change final memory, control flow, timing, or the
 // detection outcome, without running the simulator. The simulator is
 // deterministic, so a trial's pre-injection execution IS the golden
-// schedule: recording the golden run's per-instruction event stream once
-// (under the scheme's own controller hooks, so RBQ stalls and boundary
-// verification shape it exactly as a trial would see it) lets a cheap
-// walker replay the injector's strike-placement logic — including its
-// lane, bit, and sensor-delay RNG draws — against that schedule and
+// schedule: GoldenRun records the main launch's per-instruction event
+// stream (under the scheme's own controller hooks, so RBQ stalls and
+// boundary verification shape it exactly as a trial would see it), and
+// a cheap walker runs the injector's own strike oracle — including its
+// lane, bit, and sensor-delay RNG draws — against that schedule to
 // decide, for each would-be strike, whether the corrupted register is
 // dead (statically outside flame.StoreReachSlice, or dynamically never
-// read again by the struck lane) AND whether its sensor report escapes the main
-// launch. Trials where every fired strike is dead and undetected are
-// Masked with golden-identical results; trials whose strikes never fire
-// are NoInjection. Everything else is simulated.
+// read again by the struck lane) AND whether its sensor report escapes
+// the main launch. Trials where every fired strike is dead and
+// undetected are Masked with golden-identical results; trials whose
+// strikes never fire are NoInjection. Everything else is simulated.
 //
 // Detecting (runtime-controller) schemes are handled by a static
 // detection-outcome model rather than a gate. Detection is
@@ -46,7 +46,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"flame/internal/analysis"
@@ -56,35 +55,68 @@ import (
 	"flame/internal/kernel"
 )
 
-// pruneEvent is one executed instruction of the golden main-kernel
+// schedEvent is one executed instruction of the golden main-kernel
 // launch, as the injector's Observe hook would have seen it.
-type pruneEvent struct {
+type schedEvent struct {
 	cyc  int64
-	mask uint32 // executing lanes holding register files (pickLane's set)
+	mask uint32 // flame.StrikeLanes of the executing warp
 	pc   int32
 	warp int32 // warp slot within its SM (stable, printed in descriptions)
 	sm   int32
 }
 
-// DefaultPruneEventCap bounds the recorded schedule (events are 24
-// bytes; the default caps a benchmark's index near 100 MB).
+// DefaultPruneEventCap bounds the schedule GoldenRun records (events
+// are 24 bytes; the cap keeps a benchmark's schedule near 100 MB). A
+// golden whose main launch executes more instructions keeps no
+// schedule: pruning is disabled for it and strata enumeration fails.
 const DefaultPruneEventCap = 4 << 20
 
+// recordSchedule returns the hook GoldenRun combines after the scheme's
+// own controller hooks on the main launch only — where trials attach
+// the injector — so RBQ descheduling and boundary verification shape
+// the recorded schedule exactly as a trial's injector observes it.
+func (g *Golden) recordSchedule() *gpu.Hooks {
+	return &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
+		if g.scheduleFull {
+			return
+		}
+		if len(g.schedule) >= DefaultPruneEventCap {
+			g.schedule, g.scheduleFull = nil, true
+			return
+		}
+		g.schedule = append(g.schedule, schedEvent{
+			cyc: d.Cyc, mask: flame.StrikeLanes(w), pc: int32(pc),
+			warp: int32(w.ID), sm: int32(sm.ID),
+		})
+	}}
+}
+
+// recordedSchedule returns the golden schedule, or an error when it has
+// more than eventCap events (eventCap <= 0 selects, and values above it
+// are bounded by, DefaultPruneEventCap).
+func (g *Golden) recordedSchedule(eventCap int) ([]schedEvent, error) {
+	if eventCap <= 0 || eventCap > DefaultPruneEventCap {
+		eventCap = DefaultPruneEventCap
+	}
+	if g.scheduleFull || len(g.schedule) > eventCap {
+		return nil, fmt.Errorf("golden schedule exceeds %d events", eventCap)
+	}
+	return g.schedule, nil
+}
+
 // PruneIndex is the per-benchmark pruning oracle: the golden schedule,
-// the last-use table, and the dataflow slices.
+// its per-event vulnerable-lane masks, and the dataflow slices.
 type PruneIndex struct {
-	events  []pruneEvent
-	lastUse map[uint64][]int32 // warpKey -> reg -> last reading event seq+1
+	events []schedEvent // the golden's schedule, shared read-only
 	// vuln[i] is the lane mask of event i's destination-register copies
 	// that some later instruction of the same warp slot reads before an
-	// overwriting def: the per-lane refinement of the last-use table.
-	// Registers are lane-private (the ISA has no cross-lane reads), so a
-	// strike on a lane outside vuln[i] corrupts a value that lane never
-	// observes again. Zero when event i defines nothing.
+	// overwriting def. Registers are lane-private (the ISA has no
+	// cross-lane reads), so a strike on a lane outside vuln[i] corrupts
+	// a value that lane never observes again. Zero when event i defines
+	// nothing.
 	vuln       []uint32
 	storeReach map[isa.Reg]bool
 	acl        map[isa.Reg]bool
-	window     int64
 	maxDelay   int
 	// mainCycles is the golden main launch's cycle count; its last
 	// processed cycle is mainCycles-1, the final DetectionDue probe.
@@ -107,15 +139,14 @@ func warpKey(smID, warpID int32) uint64 {
 	return uint64(uint32(smID))<<32 | uint64(uint32(warpID))
 }
 
-// BuildPruneIndex records the golden main-kernel schedule for a
-// workload and prepares the pruning oracle. eventCap <= 0 selects
-// DefaultPruneEventCap. A disabled index is still returned (never nil):
-// PruneTrial on it refuses every trial and Disabled says why.
-func BuildPruneIndex(cfg gpu.Config, spec *KernelSpec, g *Golden, eventCap int) *PruneIndex {
-	if eventCap <= 0 {
-		eventCap = DefaultPruneEventCap
-	}
-	px := &PruneIndex{window: g.Window, maxDelay: g.MaxDelay}
+// BuildPruneIndex prepares the pruning oracle from the schedule
+// GoldenRun recorded; it simulates nothing, and the architecture and
+// spec arguments are unused (the golden already reflects both).
+// eventCap <= 0 selects DefaultPruneEventCap. A disabled index is still
+// returned (never nil): PruneTrial on it refuses every trial and
+// Disabled says why.
+func BuildPruneIndex(_ gpu.Config, _ *KernelSpec, g *Golden, eventCap int) *PruneIndex {
+	px := &PruneIndex{maxDelay: g.MaxDelay}
 	progs := []*isa.Program{g.Comp.Prog}
 	for _, sc := range g.StepComps {
 		progs = append(progs, sc.Prog)
@@ -127,70 +158,14 @@ func BuildPruneIndex(cfg gpu.Config, spec *KernelSpec, g *Golden, eventCap int) 
 			return px
 		}
 	}
-
-	// Record the golden main launch on a throwaway device. The injector
-	// only observes the main kernel (launchOne attaches it nowhere
-	// else), so Steps need no recording. Detecting schemes run under
-	// their own (injector-less) controller so RBQ descheduling and
-	// boundary verification shape the recorded schedule exactly as a
-	// trial's controller would.
-	dev, err := gpu.NewDevice(cfg, spec.MemBytes)
+	events, err := g.recordedSchedule(eventCap)
 	if err != nil {
 		px.disabled = err.Error()
 		return px
 	}
-	copy(dev.Mem.Words(), g.InitMem)
 	prog := g.Comp.Prog
-	px.lastUse = map[uint64][]int32{}
-	overflow := false
-	var uses [4]isa.Reg
-	hooks := &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-		if overflow {
-			return
-		}
-		if len(px.events) >= eventCap {
-			overflow = true
-			return
-		}
-		var mask uint32
-		em := w.LastExecMask()
-		for l := 0; l < len(w.Regs); l++ {
-			if em&(1<<l) != 0 && w.Regs[l] != nil {
-				mask |= 1 << l
-			}
-		}
-		px.events = append(px.events, pruneEvent{
-			cyc: d.Cyc, mask: mask, pc: int32(pc),
-			warp: int32(w.ID), sm: int32(sm.ID),
-		})
-		seq := int32(len(px.events)) // seq+1 encoding; 0 = never read
-		key := warpKey(int32(sm.ID), int32(w.ID))
-		lu := px.lastUse[key]
-		if lu == nil {
-			lu = make([]int32, prog.NumRegs)
-			px.lastUse[key] = lu
-		}
-		for _, r := range prog.Insts[pc].Uses(uses[:0]) {
-			lu[r] = seq
-		}
-	}}
-	if ctl := g.Comp.Controller(); ctl != nil {
-		px.detecting = true
-		hooks = gpu.CombineHooks(ctl.Hooks(), hooks)
-	}
-	launch := &gpu.Launch{Prog: prog, Grid: spec.Grid, Block: spec.Block, Params: spec.Params}
-	st, err := dev.Run(launch, hooks)
-	if err != nil {
-		px.events, px.lastUse = nil, nil
-		px.disabled = fmt.Sprintf("golden recording failed: %v", err)
-		return px
-	}
-	px.mainCycles = st.Cycles
-	if overflow {
-		px.events, px.lastUse = nil, nil
-		px.disabled = fmt.Sprintf("golden schedule exceeds %d events", eventCap)
-		return px
-	}
+	px.events, px.mainCycles = events, g.mainCycles
+	px.detecting = g.Comp.Controller() != nil
 	px.storeReach = flame.StoreReachSlice(prog)
 	px.acl = flame.AddressControlSlice(prog)
 	px.buildVuln(prog)
@@ -234,11 +209,13 @@ func (px *PruneIndex) buildVuln(prog *isa.Program) {
 
 // PruneTrial decides a trial without simulation when every armed strike
 // either never fires or fires into a provably dead register with a
-// sensor report that provably escapes the main launch. It mirrors
-// flame.Injector.Observe event-for-event — including its RNG draws — so
-// a pruned TrialResult is bit-identical (every field, including the
-// Description) to what Engine.RunTrial would have produced. The second
-// return is false when the trial must be simulated.
+// sensor report that provably escapes the main launch. It walks the
+// golden schedule with the injector's own strike oracle
+// (flame.StrikeDraw, flame.StrikeSite, flame.SensorDelay) on an RNG
+// seeded like the injector's, so a pruned TrialResult is bit-identical
+// (every field, including the Description) to what Engine.RunTrial
+// would have produced. The second return is false when the trial must
+// be simulated.
 func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 	if px == nil || px.disabled != "" || ts.Hooks != nil {
 		return nil, false
@@ -254,39 +231,27 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 			if ev.cyc < arm {
 				continue // Observe returns before any RNG draw
 			}
-			lanes := bits.OnesCount32(ev.mask)
-			if lanes == 0 {
-				continue // pickLane finds no lane; stays armed, no draw
+			lane, bit := flame.StrikeDraw(ev.mask, rng)
+			if lane < 0 {
+				continue // no strike lane: stays armed, no draw
 			}
-			laneIdx := rng.Intn(lanes)
-			bit := uint32(1) << uint(rng.Intn(32))
 			in := &prog.Insts[ev.pc]
-			d := in.Defs()
-			switch {
-			case d != isa.NoReg && in.Origin != isa.OrigDup &&
-				(ts.Model == flame.FullSite || !px.acl[d]):
-				// Register-destination strike: prunable iff the corrupted
-				// value is dead — statically outside the store-reach
-				// slice, or never read again by the struck lane (uses at
-				// the firing event itself read the pre-corruption value:
-				// Observe runs post-execute). Registers are lane-private,
-				// so only the struck lane's future reads matter; the
-				// warp-level last-use table is the coarser bound vuln
-				// refines.
-				lane := nthSetBit(ev.mask, laneIdx)
+			switch flame.StrikeSite(in, ts.Model, px.acl) {
+			case flame.RegisterSite:
+				// Prunable iff the corrupted value is dead — statically
+				// outside the store-reach slice, or never read again by
+				// the struck lane (uses at the firing event itself read
+				// the pre-corruption value: Observe runs post-execute).
+				d := in.Defs()
 				if px.storeReach[d] && px.vuln[evi]&(1<<uint(lane)) != 0 {
 					return nil, false
 				}
-				// Mirror Observe's sensor-delay draw, then apply the
-				// static detection-outcome model: the controller probes
+				// Static detection-outcome model: the controller probes
 				// DetectionDue on every processed cycle of the main
 				// launch (last is mainCycles-1) and nowhere afterwards,
 				// so a report due before that recovers (simulate) and a
 				// later one provably escapes (the strike stays Masked).
-				detectAt := ev.cyc
-				if px.maxDelay > 0 {
-					detectAt += 1 + int64(rng.Intn(px.maxDelay))
-				}
+				detectAt := ev.cyc + flame.SensorDelay(px.maxDelay, rng)
 				if px.detecting && detectAt < px.mainCycles {
 					return nil, false
 				}
@@ -299,7 +264,7 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 						ev.cyc, bit, d, lane, ev.warp, ev.sm, ev.pc, in.String())
 				}
 				fired = true
-			case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
+			case flame.StoreDataSite:
 				// Store-data strike: corrupts memory directly; simulate.
 				return nil, false
 			default:
@@ -318,26 +283,4 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 		tr.Outcome = OutcomeMasked
 	}
 	return tr, true
-}
-
-// lastUseOf reads the last-use table defensively: a warp that never
-// read any register has no table at all (0 = never read).
-func lastUseOf(lu []int32, r isa.Reg) int32 {
-	if lu == nil {
-		return 0
-	}
-	return lu[r]
-}
-
-// nthSetBit returns the position of the n-th (0-based) set bit of mask,
-// mirroring pickLane's lane-list indexing.
-func nthSetBit(mask uint32, n int) int {
-	for {
-		b := bits.TrailingZeros32(mask)
-		if n == 0 {
-			return b
-		}
-		mask &^= 1 << uint(b)
-		n--
-	}
 }

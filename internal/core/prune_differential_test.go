@@ -9,9 +9,11 @@ import (
 )
 
 // Differential test: the static interval analysis (internal/analysis)
-// against the dynamic tables the prune index records from the golden
-// schedule. The static solver is an over-approximation of the dynamic
-// trace, so the two must agree one-way on every recorded event:
+// against the dynamic tables derived from the recorded golden schedule
+// (the prune index's per-lane vulnerable masks, and a warp-level
+// last-use table the test computes itself). The static solver is an
+// over-approximation of the dynamic trace, so the two must agree
+// one-way on every recorded event:
 //
 //   - A site the solver classifies SiteDead (destination not live after
 //     the def on ANY path) can never be observed read again: its
@@ -47,6 +49,20 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 			}
 			prog := g.Comp.Prog
 			iv := analysis.ComputeIntervals(kernel.Build(prog))
+			// lastUse[warp][r] is the seq+1 of the last event of that warp
+			// slot reading r (0 = never read).
+			lastUse := map[uint64][]int32{}
+			var uses [4]isa.Reg
+			for evi := range px.events {
+				ev := &px.events[evi]
+				key := warpKey(ev.sm, ev.warp)
+				if lastUse[key] == nil {
+					lastUse[key] = make([]int32, prog.NumRegs)
+				}
+				for _, r := range prog.Insts[ev.pc].Uses(uses[:0]) {
+					lastUse[key][r] = int32(evi + 1)
+				}
+			}
 
 			staticDeadEvents, refined := 0, 0
 			for evi := range px.events {
@@ -80,7 +96,7 @@ func TestStaticLivenessAgreesWithDynamicTables(t *testing.T) {
 					}
 					// The warp-level table must contain the lane-level
 					// reads: some event after this one read d.
-					lu := lastUseOf(px.lastUse[warpKey(ev.sm, ev.warp)], d)
+					lu := lastUse[warpKey(ev.sm, ev.warp)][d]
 					if lu <= int32(evi+1) {
 						t.Fatalf("event %d (pc %d %s): vuln=%#x but warp last-use seq %d never passes the event",
 							evi, ev.pc, in, px.vuln[evi], lu)

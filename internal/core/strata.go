@@ -60,28 +60,22 @@ func SiteLabels(prog *isa.Program) []string {
 	return labels
 }
 
-// BuildStrata enumerates the single-strike injection-site space of a
-// golden run into (kernel, section, opcode-class) strata with exact
-// site counts. It replays the fault-free run once with a recording hook
-// combined after the scheme's own hooks — the recorder therefore sees
-// the executed-instruction stream in exactly the order a trial's
-// injector observes it — and feeds the main kernel's corruptible events
-// to a flame.StrataBuilder.
-//
-// The replay must be bit-identical to the golden run, so the recorder
-// only watches; a mismatch between the replay's cycle count and
-// g.Window is reported as an error rather than silently mis-weighting
-// strata.
-func BuildStrata(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.FaultModel) (*flame.StrataMap, error) {
-	return BuildStrataKeyed(cfg, spec, g, model, StrataKeySectionClass)
-}
-
-// BuildStrataKeyed is BuildStrata under an explicit stratification key:
-// StrataKeyLiveness feeds the builder per-instruction liveness-class
-// labels (SiteLabels), splitting each (section, opcode-class) group by
-// what the corrupted value can reach.
-func BuildStrataKeyed(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.FaultModel, key StrataKey) (*flame.StrataMap, error) {
+// BuildStrataKeyed enumerates the single-strike injection-site space of
+// a golden run into (kernel, section, opcode-class) strata with exact
+// site counts, folding the schedule GoldenRun recorded — the
+// executed-instruction stream exactly as a trial's injector observes it
+// — through a flame.StrataBuilder. It simulates nothing; the
+// architecture argument is unused. StrataKeyLiveness feeds the builder
+// per-instruction liveness-class labels (SiteLabels), splitting each
+// (section, opcode-class) group by what the corrupted value can reach.
+// A golden whose schedule exceeded DefaultPruneEventCap has no
+// enumeration, and that is reported as an error.
+func BuildStrataKeyed(_ gpu.Config, spec *KernelSpec, g *Golden, model flame.FaultModel, key StrataKey) (*flame.StrataMap, error) {
 	if _, err := ParseStrataKey(string(key)); err != nil {
+		return nil, err
+	}
+	events, err := g.recordedSchedule(0)
+	if err != nil {
 		return nil, err
 	}
 	sections := make([][2]int, len(g.Comp.Sections))
@@ -92,43 +86,12 @@ func BuildStrataKeyed(cfg gpu.Config, spec *KernelSpec, g *Golden, model flame.F
 	if key == StrataKeyLiveness {
 		b.SetSiteLabels(SiteLabels(g.Comp.Prog))
 	}
-	return buildStrata(cfg, spec, g, b)
-}
-
-func buildStrata(cfg gpu.Config, spec *KernelSpec, g *Golden, b *flame.StrataBuilder) (*flame.StrataMap, error) {
-	main := g.Comp.Prog
-	recorder := &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-		// The injector attaches to the main kernel's launch only, and the
-		// device clock restarts per launch — record nothing else.
-		if d.Kernel() != main {
-			return
-		}
-		// Mirror Injector.pickLane's liveness gate: an event with no
-		// executing lane holding live registers never fires a strike (the
+	for i := range events {
+		// An event with no strike lane never fires a strike (the
 		// injector stays armed through it), so it owns no arm cycles.
-		mask := w.LastExecMask()
-		live := false
-		for l := 0; l < len(w.Regs); l++ {
-			if mask&(1<<l) != 0 && w.Regs[l] != nil {
-				live = true
-				break
-			}
+		if ev := &events[i]; ev.mask != 0 {
+			b.Observe(ev.cyc, int(ev.pc))
 		}
-		if !live {
-			return
-		}
-		b.Observe(d.Cyc, pc)
-	}}
-	res, err := RunCompiledOpts(cfg, spec, g.Comp, nil, RunOpts{
-		SkipValidate: true,
-		Hooks:        recorder,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("strata replay: %w", err)
-	}
-	if res.Stats.Cycles != g.Window {
-		return nil, fmt.Errorf("strata replay diverged: %d cycles, golden window %d",
-			res.Stats.Cycles, g.Window)
 	}
 	return b.Finish(), nil
 }

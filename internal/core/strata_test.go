@@ -54,7 +54,7 @@ func TestBuildStrataKeyedLivenessRefines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := BuildStrata(cfg, spec, g, flame.DataSlice)
+		plain, err := BuildStrataKeyed(cfg, spec, g, flame.DataSlice, StrataKeySectionClass)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,5 +109,25 @@ func TestParseStrataKey(t *testing.T) {
 	}
 	if _, err := BuildStrataKeyed(testCfg(), saxpySpec(), &Golden{}, flame.DataSlice, "bogus"); err == nil {
 		t.Error("BuildStrataKeyed accepted a bogus key")
+	}
+}
+
+// A golden whose schedule outgrew DefaultPruneEventCap keeps none; the
+// enumeration must then fail loudly, never fall back to a guess.
+func TestBuildStrataKeyedScheduleOverflow(t *testing.T) {
+	cfg := testCfg()
+	spec := saxpySpec()
+	g, err := GoldenRun(cfg, spec, Options{Scheme: Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := *g
+	full.schedule, full.scheduleFull = nil, true
+	_, err = BuildStrataKeyed(cfg, spec, &full, flame.DataSlice, StrataKeySectionClass)
+	if err == nil || !strings.Contains(err.Error(), "golden schedule exceeds") {
+		t.Fatalf("overflowed schedule: err %v, want a schedule-cap error", err)
+	}
+	if px := BuildPruneIndex(cfg, spec, &full, 0); !strings.Contains(px.Disabled(), "golden schedule exceeds") {
+		t.Fatalf("overflowed schedule left pruning enabled: %q", px.Disabled())
 	}
 }

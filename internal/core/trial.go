@@ -103,39 +103,61 @@ type Golden struct {
 	// classification can diff only candidate pages: a page untouched by
 	// the trial AND equal between InitMem and Mem cannot diverge.
 	diffPages []uint64
+	// schedule is the main launch's executed-instruction stream as the
+	// injector observes it, recorded during the golden run; nil when it
+	// outgrew DefaultPruneEventCap (scheduleFull). The prune index,
+	// strata and census are pure functions of it.
+	schedule     []schedEvent
+	scheduleFull bool
+	// mainCycles is the main launch's cycle count (Window less Steps).
+	mainCycles int64
 }
 
 // GoldenRun compiles the spec for the scheme and performs the fault-free
 // reference run, validating its output. Baseline is allowed: an
-// unprotected golden run anchors masking campaigns.
+// unprotected golden run anchors masking campaigns. It is the only
+// fault-free simulation a campaign makes: the main launch's schedule is
+// recorded on the way (recordSchedule), and the prune index, strata and
+// census are derived from it.
 func GoldenRun(cfg gpu.Config, spec *KernelSpec, opt Options) (*Golden, error) {
 	comp, err := Compile(spec.Prog, opt)
 	if err != nil {
 		return nil, err
 	}
-	steps := make([]*Compiled, len(spec.Steps))
-	for i, step := range spec.Steps {
-		if steps[i], err = Compile(step.Prog, comp.Opt); err != nil {
-			return nil, fmt.Errorf("%s step %d: %w", spec.Name, i+1, err)
-		}
+	steps, err := compileSteps(spec, comp.Opt)
+	if err != nil {
+		return nil, err
 	}
-	initMem := make([]uint32, (spec.MemBytes+3)/4)
+	g := &Golden{Comp: comp, StepComps: steps, MaxDelay: comp.Opt.WCDL}
+	if !opt.Scheme.UsesSensors() {
+		g.MaxDelay = 0 // DMR detects at the replica; model as immediate
+	}
+	g.InitMem = make([]uint32, (spec.MemBytes+3)/4)
 	if spec.Setup != nil {
-		spec.Setup(initMem)
+		spec.Setup(g.InitMem)
 	}
-	res, err := RunCompiledOpts(cfg, spec, comp, nil, RunOpts{KeepMem: true})
+	dev, err := gpu.NewDevice(cfg, spec.MemBytes)
 	if err != nil {
 		return nil, fmt.Errorf("golden run: %w", err)
 	}
-	maxDelay := comp.Opt.WCDL
-	if !opt.Scheme.UsesSensors() {
-		maxDelay = 0 // DMR detects at the replica; model as immediate
+	copy(dev.Mem.Words(), g.InitMem)
+	res := &Result{}
+	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, nil,
+		&RunOpts{Hooks: g.recordSchedule()}, res)
+	g.mainCycles = res.Stats.Cycles
+	if err == nil {
+		err = runSteps(dev, spec, steps, &RunOpts{}, res)
 	}
-	return &Golden{
-		Comp: comp, StepComps: steps, Window: res.Stats.Cycles,
-		InitMem: initMem, Mem: res.Mem, MaxDelay: maxDelay,
-		diffPages: diffPageBitmap(initMem, res.Mem),
-	}, nil
+	if err == nil {
+		err = validateOutput(spec, comp, dev.Mem.Words())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("golden run: %w", err)
+	}
+	g.Window = res.Stats.Cycles
+	g.Mem = dev.Mem.Words() // the device is discarded; its image is the golden's
+	g.diffPages = diffPageBitmap(g.InitMem, g.Mem)
+	return g, nil
 }
 
 // diffPageBitmap returns the bitmap of pages (gpu.PageWords words each)

@@ -177,8 +177,8 @@ func (w *worker) setup(ctx context.Context) error {
 		w.specs[spec.Name] = spec
 		w.goldens[spec.Name] = g
 		if cfg.Prune {
-			// The oracle is a deterministic function of (arch, spec,
-			// golden), so every replica prunes exactly the same trials the
+			// The oracle is a deterministic function of the golden run,
+			// so every replica prunes exactly the same trials the
 			// coordinator would, and streamed lines stay byte-identical.
 			w.prune[spec.Name] = core.BuildPruneIndex(cfg.Arch, spec, g, 0)
 		}

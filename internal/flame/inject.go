@@ -2,6 +2,7 @@ package flame
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"flame/internal/gpu"
@@ -126,7 +127,7 @@ type Injector struct {
 // stores, a corrupted address or predicate input could commit a store
 // that re-execution does not overwrite. The DataSlice model therefore
 // injects only into the complement — the values idempotent re-execution
-// provably repairs — mirroring the paper's effective coverage claim.
+// provably repairs, which is the paper's effective coverage claim.
 func addressControlSlice(p *isa.Program) map[isa.Reg]bool {
 	s := map[isa.Reg]bool{}
 	add := func(o isa.Operand) bool {
@@ -152,8 +153,8 @@ func addressControlSlice(p *isa.Program) map[isa.Reg]bool {
 
 // AddressControlSlice exposes the injector's excluded-site set (the
 // registers the DataSlice model refuses to strike) for pre-trial
-// analysis: the pruner must mirror the injector's eligibility and
-// Excluded marking exactly.
+// analysis: it is the excluded argument of StrikeSite and decides a
+// strike's Excluded marking.
 func AddressControlSlice(p *isa.Program) map[isa.Reg]bool {
 	return addressControlSlice(p)
 }
@@ -266,21 +267,19 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 		inj.excluded = addressControlSlice(d.Kernel())
 	}
 	in := &d.Kernel().Insts[pc]
-	lane := inj.pickLane(w)
+	lane, bit := StrikeDraw(StrikeLanes(w), inj.Rand)
 	if lane < 0 {
 		return
 	}
-	bit := uint32(1) << uint(inj.Rand.Intn(32))
-	switch {
-	case in.Defs() != isa.NoReg && in.Origin != isa.OrigDup &&
-		(inj.Model == FullSite || !inj.excluded[in.Defs()]):
+	switch StrikeSite(in, inj.Model, inj.excluded) {
+	case RegisterSite:
 		r := in.Defs()
 		w.Regs[lane][r] ^= bit
 		s.Reg = r
 		s.Excluded = inj.excluded[r]
 		s.Description = fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
 			d.Cyc, bit, r, lane, w.ID, sm.ID, pc, in.String())
-	case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
+	case StoreDataSite:
 		addr := sm.LaneAddress(w, lane, in)
 		v, err := d.Mem.Load(addr)
 		if err != nil {
@@ -297,11 +296,7 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	s.SM, s.Warp, s.Lane = sm.ID, w.ID, lane
 	s.Injected = true
 	s.InjectedAt = d.Cyc
-	delay := int64(0)
-	if inj.MaxDelay > 0 {
-		delay = 1 + int64(inj.Rand.Intn(inj.MaxDelay))
-	}
-	s.detectAt = d.Cyc + delay
+	s.detectAt = d.Cyc + SensorDelay(inj.MaxDelay, inj.Rand)
 	if !inj.Injected {
 		inj.InjectedAt = d.Cyc
 		inj.Description = s.Description
@@ -309,6 +304,83 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	inj.Injected = true
 	inj.Detected = false // pending detection outstanding
 	inj.next++
+}
+
+// SiteKind says what a strike on an executed instruction corrupts.
+type SiteKind uint8
+
+const (
+	// NoSite: the instruction is not corruptible; an armed strike stays
+	// armed through it.
+	NoSite SiteKind = iota
+	// RegisterSite: the struck lane's copy of the destination register.
+	RegisterSite
+	// StoreDataSite: the data the struck lane's global store writes.
+	StoreDataSite
+)
+
+// StrikeSite is the injector's eligibility rule, shared by Observe and
+// every pre-trial analysis of the golden schedule (pruning, strata,
+// census). A strike fires on an instruction that defines a general
+// register — unless it is a SwapCodes replica, or, under DataSlice, the
+// register is in excluded (the program's AddressControlSlice) — or on a
+// global store's data. Eligibility does not depend on the injector's
+// random draws.
+func StrikeSite(in *isa.Inst, model FaultModel, excluded map[isa.Reg]bool) SiteKind {
+	if d := in.Defs(); d != isa.NoReg && in.Origin != isa.OrigDup &&
+		(model == FullSite || !excluded[d]) {
+		return RegisterSite
+	}
+	if in.Op == isa.OpSt && in.Space == isa.SpaceGlobal {
+		return StoreDataSite
+	}
+	return NoSite
+}
+
+// StrikeLanes returns the lanes a strike on warp w's just-executed
+// instruction can hit: the lanes that executed it and hold register
+// files. A particle corrupts the output of an executing lane; striking
+// a diverged or predicated-off lane would fabricate state no
+// re-execution repairs — corruption the fault model cannot produce. The
+// executing lane set is the warp's LastExecMask (captured at
+// execution), NOT its ActiveMask: when the instruction immediately
+// precedes a reconvergence point the stack has already popped by
+// OnExecuted time, and the widened mask would let a strike land on a
+// lane whose address/data registers were never computed on this path.
+func StrikeLanes(w *gpu.Warp) uint32 {
+	exec := w.LastExecMask()
+	var lanes uint32
+	for l := 0; l < len(w.Regs); l++ {
+		if exec&(1<<l) != 0 && w.Regs[l] != nil {
+			lanes |= 1 << l
+		}
+	}
+	return lanes
+}
+
+// StrikeDraw makes a strike's random choices on one event: the struck
+// lane, uniform over the set bits of lanes (StrikeLanes), then the
+// flipped bit. With no lane it draws nothing and returns lane -1 — the
+// strike stays armed. Eligibility (StrikeSite) is decided after the
+// draw, so an ineligible event still consumes both draws.
+func StrikeDraw(lanes uint32, rng *rand.Rand) (lane int, bit uint32) {
+	n := bits.OnesCount32(lanes)
+	if n == 0 {
+		return -1, 0
+	}
+	for k := rng.Intn(n); k > 0; k-- {
+		lanes &= lanes - 1 // drop the lowest set lane
+	}
+	return bits.TrailingZeros32(lanes), uint32(1) << uint(rng.Intn(32))
+}
+
+// SensorDelay draws a fired strike's detection delay: uniform in
+// [1, maxDelay], or 0 (immediate, no draw) when maxDelay <= 0.
+func SensorDelay(maxDelay int, rng *rand.Rand) int64 {
+	if maxDelay <= 0 {
+		return 0
+	}
+	return 1 + int64(rng.Intn(maxDelay))
 }
 
 // FiredStrikes counts the strikes that corrupted state.
@@ -324,29 +396,6 @@ func (inj *Injector) ExcludedStrikes() int {
 		}
 	}
 	return n
-}
-
-// pickLane selects a random lane that actually executed the instruction.
-// A particle corrupts the output of an executing lane; striking a
-// diverged or predicated-off lane would fabricate state no re-execution
-// repairs — corruption the fault model cannot produce. The executing
-// lane set is the warp's LastExecMask (captured at execution), NOT its
-// ActiveMask: when the instruction immediately precedes a reconvergence
-// point the stack has already popped by OnExecuted time, and the
-// widened mask would let a strike land on a lane whose address/data
-// registers were never computed on this path.
-func (inj *Injector) pickLane(w *gpu.Warp) int {
-	mask := w.LastExecMask()
-	var lanes []int
-	for l := 0; l < len(w.Regs); l++ {
-		if mask&(1<<l) != 0 && w.Regs[l] != nil {
-			lanes = append(lanes, l)
-		}
-	}
-	if len(lanes) == 0 {
-		return -1
-	}
-	return lanes[inj.Rand.Intn(len(lanes))]
 }
 
 // NextDetection returns the earliest cycle a fired-but-undetected strike

@@ -100,8 +100,8 @@ func (m *StrataMap) InjectableSites() int64 { return m.Span - m.NoInjectionSites
 // StrataBuilder accumulates the golden schedule's corruptible events in
 // observation order and carves the arm-cycle space into strata. Feed it
 // exactly the events Injector.Observe would see (executed instructions
-// of the main kernel with at least one executing lane holding live
-// registers, in order) via Observe, then call Finish.
+// of the main kernel with a non-empty StrikeLanes set, in order) via
+// Observe, then call Finish.
 type StrataBuilder struct {
 	prog     *isa.Program
 	kernel   string
@@ -148,18 +148,6 @@ func (b *StrataBuilder) SetSiteLabels(labels []string) {
 	b.labels = labels
 }
 
-// corruptibleSite mirrors Injector.Observe's eligibility exactly: a
-// strike fires on an instruction that defines a general register (not a
-// SwapCodes replica, and outside the address/control slice unless the
-// model is FullSite), or on a global store's data.
-func corruptibleSite(in *isa.Inst, model FaultModel, excluded map[isa.Reg]bool) bool {
-	if d := in.Defs(); d != isa.NoReg && in.Origin != isa.OrigDup &&
-		(model == FullSite || !excluded[d]) {
-		return true
-	}
-	return in.Op == isa.OpSt && in.Space == isa.SpaceGlobal
-}
-
 // sectionOf returns the index of the section containing instruction pc,
 // or -1.
 func (b *StrataBuilder) sectionOf(pc int) int {
@@ -172,14 +160,14 @@ func (b *StrataBuilder) sectionOf(pc int) int {
 }
 
 // Observe feeds one golden-schedule event: instruction pc executed at
-// cycle cyc with at least one executing lane holding live registers.
+// cycle cyc with a non-empty StrikeLanes set.
 // Events must arrive in the order the injector would observe them.
 func (b *StrataBuilder) Observe(cyc int64, pc int) {
 	if b.prev >= b.span-1 {
 		return // arm-cycle space exhausted
 	}
 	in := &b.prog.Insts[pc]
-	if !corruptibleSite(in, b.model, b.excluded) {
+	if StrikeSite(in, b.model, b.excluded) == NoSite {
 		return
 	}
 	hi := cyc

@@ -1,6 +1,7 @@
 package flame
 
 import (
+	"math/rand"
 	"testing"
 
 	"flame/internal/isa"
@@ -182,23 +183,51 @@ func TestStrataBuilderSiteLabels(t *testing.T) {
 	NewStrataBuilder(p, "k", nil, DataSlice, 20).SetSiteLabels([]string{"x"})
 }
 
-// corruptibleSite must match Injector.Observe's eligibility: register
-// defs outside the address/control slice (or any def under FullSite),
-// plus global-store data.
-func TestCorruptibleSiteMirrorsObserve(t *testing.T) {
+// StrikeSite classifies every instruction of strataSrc: register defs
+// outside the address/control slice (or any def under FullSite) are
+// register sites, global-store data is a store site, and the rest —
+// the address chain under DataSlice, the predicate def, exit — is not
+// corruptible.
+func TestStrikeSite(t *testing.T) {
 	p := isa.MustParse("k", strataSrc)
 	excl := addressControlSlice(p)
-	for pc := range p.Insts {
-		in := &p.Insts[pc]
-		wantData := (in.Defs() != isa.NoReg && in.Origin != isa.OrigDup && !excl[in.Defs()]) ||
-			(in.Op == isa.OpSt && in.Space == isa.SpaceGlobal)
-		if got := corruptibleSite(in, DataSlice, excl); got != wantData {
-			t.Errorf("pc %d (%s): DataSlice corruptible=%v, want %v", pc, in.String(), got, wantData)
+	R, S, N := RegisterSite, StoreDataSite, NoSite
+	for _, tc := range []struct {
+		model FaultModel
+		want  []SiteKind
+	}{
+		{DataSlice, []SiteKind{N, N, N, N, R, R, N, S, N}},
+		{FullSite, []SiteKind{R, R, R, R, R, R, N, S, N}},
+	} {
+		for pc := range p.Insts {
+			if got := StrikeSite(&p.Insts[pc], tc.model, excl); got != tc.want[pc] {
+				t.Errorf("%s: pc %d (%s): site %d, want %d", tc.model, pc, p.Insts[pc].String(), got, tc.want[pc])
+			}
 		}
-		wantFull := (in.Defs() != isa.NoReg && in.Origin != isa.OrigDup) ||
-			(in.Op == isa.OpSt && in.Space == isa.SpaceGlobal)
-		if got := corruptibleSite(in, FullSite, excl); got != wantFull {
-			t.Errorf("pc %d (%s): FullSite corruptible=%v, want %v", pc, in.String(), got, wantFull)
+	}
+}
+
+// StrikeDraw indexes the set lanes in ascending order with one draw,
+// then draws the bit; an empty lane set draws nothing.
+func TestStrikeDraw(t *testing.T) {
+	const lanes = 0b1011_0100 // lanes 2, 4, 5, 7
+	for seed := int64(0); seed < 50; seed++ {
+		ref := rand.New(rand.NewSource(seed))
+		wantLane := []int{2, 4, 5, 7}[ref.Intn(4)]
+		wantBit := uint32(1) << uint(ref.Intn(32))
+		rng := rand.New(rand.NewSource(seed))
+		if lane, bit := StrikeDraw(lanes, rng); lane != wantLane || bit != wantBit {
+			t.Fatalf("seed %d: lane %d bit %#x, want %d %#x", seed, lane, bit, wantLane, wantBit)
 		}
+		if rng.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: StrikeDraw consumed a different number of draws", seed)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	if lane, _ := StrikeDraw(0, rng); lane != -1 {
+		t.Fatalf("empty lane set picked lane %d", lane)
+	}
+	if rng.Int63() != rand.New(rand.NewSource(1)).Int63() {
+		t.Fatal("StrikeDraw drew from the RNG on an empty lane set")
 	}
 }
