@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 
@@ -435,15 +436,19 @@ func strataTable(arch gpu.Config, opt core.Options, specs []*core.KernelSpec, mo
 }
 
 // restoreProfile runs every selected benchmark's trial sequence once on
-// a pooled engine and renders the page-accounting table behind the
+// a pooled engine, in the ascending first-arm order campaign.Run
+// dispatches, and renders the page-accounting table behind the
 // -profile-restore flag: the memory footprint in pages, how many pages
 // trials actually dirty (and so how many a restore copies and a diff
-// scans), and what fraction of trials the pruner classifies without
-// simulation — or why pruning is unavailable for the benchmark.
+// scans), what fraction of trials the pruner classifies without
+// simulation — or why pruning is unavailable for the benchmark — and
+// the cycles the engine simulated per simulated trial (golden cursor
+// included, forked prefixes excluded) as a fraction of the golden
+// window.
 func restoreProfile(cfg campaign.Config, specs []*core.KernelSpec) string {
 	t := &stats.Table{Header: []string{
 		"benchmark", "footprint", "dirty/trial", "restored/trial",
-		"diff/trial", "pruned", "prune status",
+		"diff/trial", "sim/window", "pruned", "prune status",
 	}}
 	for _, spec := range specs {
 		g, err := core.GoldenRun(cfg.Arch, spec, cfg.Opt)
@@ -452,16 +457,26 @@ func restoreProfile(cfg campaign.Config, specs []*core.KernelSpec) string {
 		}
 		px := core.BuildPruneIndex(cfg.Arch, spec, g, 0)
 		eng := core.NewEngine(cfg.Arch)
+		trials := make([]core.TrialSpec, cfg.Trials)
+		for i := range trials {
+			trials[i] = cfg.TrialSpec(g, spec.Name, i)
+		}
+		sort.SliceStable(trials, func(i, k int) bool { return trials[i].Arms[0] < trials[k].Arms[0] })
 		pruned := 0
-		for i := 0; i < cfg.Trials; i++ {
-			ts := cfg.TrialSpec(g, spec.Name, i)
+		var cycles int64
+		for _, ts := range trials {
 			if _, ok := px.PruneTrial(g, ts); ok {
 				pruned++
 				continue
 			}
-			eng.RunTrial(spec, g, ts)
+			cycles += eng.RunTrial(spec, g, ts).Cycles
 		}
 		st := eng.Stats()
+		simWindow := "-"
+		if st.Trials > 0 {
+			sim := cycles - st.ForkedCycles + st.CursorCycles
+			simWindow = fmt.Sprintf("%.2f", float64(sim)/float64(st.Trials)/float64(g.Window))
+		}
 		perTrial := func(n int64) string {
 			if st.Trials == 0 {
 				return "-"
@@ -476,7 +491,7 @@ func restoreProfile(cfg campaign.Config, specs []*core.KernelSpec) string {
 		t.Add(spec.Name,
 			fmt.Sprintf("%d pages", footprint),
 			perTrial(st.DirtyPages), perTrial(st.RestoredPages), perTrial(st.DiffPages),
-			fmt.Sprintf("%d/%d", pruned, cfg.Trials), status)
+			simWindow, fmt.Sprintf("%d/%d", pruned, cfg.Trials), status)
 	}
 	return fmt.Sprintf("restore/prune profile: trials=%d/bench scheme=%s model=%s seed=%d\n%s",
 		cfg.Trials, cfg.Opt.Scheme, cfg.Model, cfg.Seed, t.String())

@@ -133,7 +133,10 @@ type Config struct {
 	StrataKey string
 }
 
-type job struct{ b, t int }
+type job struct {
+	b, t int
+	ts   core.TrialSpec
+}
 
 // Run executes the campaign and aggregates the report. A Config with
 // Stratify set is routed to the stratified sampler.
@@ -166,7 +169,7 @@ func Run(cfg Config) (*Report, error) {
 			if cfg.Skip != nil && cfg.Skip(spec.Name, t) {
 				continue
 			}
-			plan = append(plan, job{b, t})
+			plan = append(plan, job{b: b, t: t})
 		}
 	}
 
@@ -191,6 +194,21 @@ func Run(cfg Config) (*Report, error) {
 			str.golden(spec.Name, goldens[i].Window)
 		}
 	}
+
+	// Dispatch each benchmark's trials in ascending first-arm order, so
+	// every worker's golden cursor (core.Engine) moves forward through a
+	// benchmark instead of restarting for most trials. Results land in
+	// the fixed grid, so the report does not depend on the order.
+	for i := range plan {
+		j := &plan[i]
+		j.ts = cfg.TrialSpec(goldens[j.b], cfg.Specs[j.b].Name, j.t)
+	}
+	sort.SliceStable(plan, func(i, k int) bool {
+		if plan[i].b != plan[k].b {
+			return plan[i].b < plan[k].b
+		}
+		return plan[i].ts.Arms[0] < plan[k].ts.Arms[0]
+	})
 
 	// Pruning oracles, one per workload, derived from the schedule each
 	// golden run recorded. A benchmark that fails a soundness gate gets
@@ -234,7 +252,7 @@ func Run(cfg Config) (*Report, error) {
 				if str != nil {
 					str.trialStart(spec.Name, j.t)
 				}
-				ts := cfg.TrialSpec(goldens[j.b], spec.Name, j.t)
+				ts := j.ts
 				ts.Observer = obsv
 				res, pruned := pruneIdx[j.b].PruneTrial(goldens[j.b], ts)
 				if pruned {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 
 	"flame/internal/core"
@@ -262,11 +263,11 @@ func RunStratified(cfg Config) (*Report, error) {
 			ran := make([]bool, total)
 			slotStratum := make([]int, total)
 			var rwg sync.WaitGroup
-			slot := 0
-		dispatch:
+			round := make([]sjob, 0, total)
 			for h, ss := range states {
 				for i := 0; i < alloc[h]; i++ {
-					j := sjob{
+					slot := len(round)
+					round = append(round, sjob{
 						spec: spec, g: g, px: pruneIdx[b],
 						ts:      cfg.stratumTrialSpec(g, ss, ss.drawn+i),
 						bench:   spec.Name,
@@ -275,17 +276,22 @@ func RunStratified(cfg Config) (*Report, error) {
 						slot:    &results[slot],
 						ran:     &ran[slot],
 						wg:      &rwg,
-					}
+					})
 					slotStratum[slot] = h
-					slot++
-					rwg.Add(1)
-					select {
-					case <-cfg.Stop:
-						rwg.Done()
-						wasStopped = true
-						break dispatch
-					case jobs <- j:
-					}
+				}
+			}
+			// Dispatch in ascending arm order so each worker's golden
+			// cursor moves forward (see Run); slots fix the fold order.
+			sort.SliceStable(round, func(i, k int) bool { return round[i].ts.Arms[0] < round[k].ts.Arms[0] })
+		dispatch:
+			for _, j := range round {
+				rwg.Add(1)
+				select {
+				case <-cfg.Stop:
+					rwg.Done()
+					wasStopped = true
+					break dispatch
+				case jobs <- j:
 				}
 			}
 			rwg.Wait()

@@ -7,18 +7,33 @@ import (
 	"flame/internal/gpu"
 )
 
-// Engine runs injection trials on pooled devices: one gpu.Device per
-// workload, reused across trials, with global memory restored from the
-// golden run's initial image instead of re-running host setup, and the
-// scheme compilation shared from the golden run instead of recompiled.
+// Engine runs injection trials on a pooled device: one gpu.Device for
+// the workload at hand, reused across its trials, with global memory
+// restored from the golden run's initial image instead of re-running
+// host setup, and the scheme compilation shared from the golden run
+// instead of recompiled.
 // A campaign worker holds one Engine; trial results are bit-identical to
 // the fresh-device path (RunTrial), which the equivalence suite asserts.
+//
+// Memory sizing is per workload, so a trial of another workload replaces
+// the device; campaigns run one benchmark's trials together, and
+// holding every workload's device would only add to the peak heap.
+//
+// The engine also keeps one golden cursor (see goldenCursor) and forks
+// each trial's main launch from it at the trial's first arm cycle, so a
+// trial simulates only from its first strike on. Trials run in
+// ascending arm order reuse one cursor pass; any order is correct and
+// never simulates more cycles than starting every trial at cycle 0.
 //
 // An Engine is not safe for concurrent use — give each worker its own.
 // The Golden passed to RunTrial is shared read-only across all engines.
 type Engine struct {
-	cfg  gpu.Config
-	devs map[*KernelSpec]*gpu.Device
+	cfg gpu.Config
+	// dev is the pooled trial device of workload spec; cur is the
+	// golden cursor trials fork from.
+	spec *KernelSpec
+	dev  *gpu.Device
+	cur  *goldenCursor
 	// noCOW disables the dirty-page restore/diff fast path: every trial
 	// restores the full InitMem image and diffs the full footprint, as
 	// the engine did before page tracking. Results are byte-identical
@@ -46,6 +61,14 @@ type RestoreStats struct {
 	// golden-vs-init divergence; zero for DUE/Hang trials, which skip
 	// the diff).
 	DiffPages int64
+	// ForkedCycles counts main-launch cycles trials took from the golden
+	// cursor instead of simulating (each trial's first arm cycle, or the
+	// main launch's length when the arm lies beyond it).
+	ForkedCycles int64
+	// CursorCycles counts cycles the golden cursor simulated, restarts
+	// included. Simulated cycles are the trials' Cycles less
+	// ForkedCycles plus CursorCycles.
+	CursorCycles int64
 }
 
 // Add accumulates another engine's counters (campaign-level summation
@@ -55,11 +78,13 @@ func (s *RestoreStats) Add(o RestoreStats) {
 	s.RestoredPages += o.RestoredPages
 	s.DirtyPages += o.DirtyPages
 	s.DiffPages += o.DiffPages
+	s.ForkedCycles += o.ForkedCycles
+	s.CursorCycles += o.CursorCycles
 }
 
 // NewEngine creates a trial engine for one architecture.
 func NewEngine(cfg gpu.Config) *Engine {
-	return &Engine{cfg: cfg, devs: map[*KernelSpec]*gpu.Device{}}
+	return &Engine{cfg: cfg}
 }
 
 // SetNoCOW switches the engine to full-footprint restore/diff (the
@@ -69,37 +94,40 @@ func (e *Engine) SetNoCOW(v bool) { e.noCOW = v }
 // Stats returns the accumulated restore accounting.
 func (e *Engine) Stats() RestoreStats { return e.stats }
 
-// device returns the pooled device for a workload, creating it on first
-// use. Memory sizing is per-spec, so the pool is keyed by spec. A new
-// device starts with every page marked dirty: its zeroed memory is not
-// any golden's InitMem, so the first restore must copy the full image.
+// device returns the pooled device for a workload, creating it when the
+// workload changes. A new device starts with every page marked dirty:
+// its zeroed memory is not any golden's InitMem, so the first restore
+// must copy the full image.
 func (e *Engine) device(spec *KernelSpec) (*gpu.Device, error) {
-	if dev, ok := e.devs[spec]; ok {
-		return dev, nil
+	if e.dev != nil && e.spec == spec {
+		return e.dev, nil
 	}
 	dev, err := gpu.NewDevice(e.cfg, spec.MemBytes)
 	if err != nil {
 		return nil, err
 	}
 	dev.Mem.MarkAllDirty()
-	e.devs[spec] = dev
+	e.spec, e.dev = spec, dev
 	return dev, nil
 }
 
 // RunTrial executes one injection trial on the pooled device and
 // classifies the outcome exactly as core.RunTrial does, diffing the
 // device's final memory against the golden image in place (no copy).
-// Panics escaping the simulator are recovered into OutcomeInternal, as
-// in core.RunTrial.
+// The main launch is forked from the golden cursor at the first arm
+// cycle unless the trial carries extra Hooks (which must observe the
+// whole run) or no arm; a TrialObserver sees the trial from its fork
+// point. Follow-on Steps run in full. Panics escaping the simulator are
+// recovered into OutcomeInternal, as in core.RunTrial.
 func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialResult) {
 	inj := flame.NewCampaignInjector(ts.Arms, g.MaxDelay, ts.Model, ts.Seed)
 	tr = &TrialResult{}
 	defer func() {
 		if r := recover(); r != nil {
 			trialPanicResult(tr, inj, r)
-			// The pooled device was abandoned mid-run; discard it so the
-			// next trial starts from a freshly-constructed one.
-			delete(e.devs, spec)
+			// The pooled device (or the cursor) was abandoned mid-run;
+			// discard both so the next trial starts from fresh ones.
+			e.dev, e.cur = nil, nil
 		}
 	}()
 	if ts.Observer != nil {
@@ -122,8 +150,12 @@ func (e *Engine) RunTrial(spec *KernelSpec, g *Golden, ts TrialSpec) (tr *TrialR
 		}
 		e.stats.Trials++
 		res := &Result{}
-		err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
-			inj, ro, res)
+		if ts.Hooks == nil && len(ts.Arms) > 0 {
+			err = e.forkMain(dev, spec, g, ts.Arms[0], inj, ro, res)
+		} else {
+			err = launchOne(dev, spec, g.Comp, spec.Grid, spec.Block, spec.Params,
+				inj, ro, res)
+		}
 		if err == nil {
 			err = runSteps(dev, spec, g.StepComps, ro, res)
 		}

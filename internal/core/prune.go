@@ -71,24 +71,66 @@ type schedEvent struct {
 // schedule: pruning is disabled for it and strata enumeration fails.
 const DefaultPruneEventCap = 4 << 20
 
-// recordSchedule returns the hook GoldenRun combines after the scheme's
-// own controller hooks on the main launch only — where trials attach
-// the injector — so RBQ descheduling and boundary verification shape
-// the recorded schedule exactly as a trial's injector observes it.
-func (g *Golden) recordSchedule() *gpu.Hooks {
+// scheduleRecorder is GoldenRun's schedule buffer. Events go into
+// chunks that never move once allocated — growing one flat slice by
+// append re-copied the whole schedule at every growth step, most of the
+// recorder's cost — and the chunks are joined once, into an exact-size
+// slice, when the main launch ends.
+type scheduleRecorder struct {
+	chunks [][]schedEvent
+	n      int
+	full   bool // more than DefaultPruneEventCap events: nothing kept
+}
+
+// Chunk sizes double from firstSchedChunk to maxSchedChunk events, so a
+// short schedule allocates little and a long one few chunks.
+const (
+	firstSchedChunk = 1 << 12
+	maxSchedChunk   = 1 << 18
+)
+
+// hooks returns the recording hook GoldenRun combines after the
+// scheme's own controller hooks on the main launch only — where trials
+// attach the injector — so RBQ descheduling and boundary verification
+// shape the recorded schedule exactly as a trial's injector observes
+// it.
+func (r *scheduleRecorder) hooks() *gpu.Hooks {
 	return &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
-		if g.scheduleFull {
+		if r.full {
 			return
 		}
-		if len(g.schedule) >= DefaultPruneEventCap {
-			g.schedule, g.scheduleFull = nil, true
+		if r.n >= DefaultPruneEventCap {
+			r.chunks, r.full = nil, true
 			return
 		}
-		g.schedule = append(g.schedule, schedEvent{
+		last := len(r.chunks) - 1
+		if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+			size := maxSchedChunk
+			if len(r.chunks) < 6 {
+				size = firstSchedChunk << len(r.chunks)
+			}
+			r.chunks = append(r.chunks, make([]schedEvent, 0, size))
+			last++
+		}
+		r.chunks[last] = append(r.chunks[last], schedEvent{
 			cyc: d.Cyc, mask: flame.StrikeLanes(w), pc: int32(pc),
 			warp: int32(w.ID), sm: int32(sm.ID),
 		})
+		r.n++
 	}}
+}
+
+// events joins the recorded chunks (nil and true when the schedule
+// outgrew the cap).
+func (r *scheduleRecorder) events() ([]schedEvent, bool) {
+	if r.full {
+		return nil, true
+	}
+	out := make([]schedEvent, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
+	}
+	return out, false
 }
 
 // recordedSchedule returns the golden schedule, or an error when it has
@@ -260,8 +302,9 @@ func (px *PruneIndex) PruneTrial(g *Golden, ts TrialSpec) (*TrialResult, bool) {
 					tr.ExcludedStrikes++
 				}
 				if tr.Strikes == 1 {
-					tr.Description = fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
-						ev.cyc, bit, d, lane, ev.warp, ev.sm, ev.pc, in.String())
+					tr.Description = flame.DescribeStrike(&flame.Strike{
+						InjectedAt: ev.cyc, Reg: d, SM: int(ev.sm), Warp: int(ev.warp), Lane: lane,
+					}, bit, 0, int(ev.pc), in)
 				}
 				fired = true
 			case flame.StoreDataSite:

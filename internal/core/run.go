@@ -149,27 +149,41 @@ func compileSteps(spec *KernelSpec, opt Options) ([]*Compiled, error) {
 // compilation it observes executed instructions with nothing watching
 // for its strikes), accumulating stats into res. ro's hooks are
 // combined after the scheme's own. It is the one launch path of
-// RunCompiledOpts, GoldenRun and Engine.RunTrial.
+// RunCompiledOpts, GoldenRun and Engine.RunTrial (whose forked main
+// launch differs only in where the simulation starts).
 func launchOne(dev *gpu.Device, spec *KernelSpec, c *Compiled, grid, block isa.Dim3,
 	params []uint32, inj *flame.Injector, ro *RunOpts, res *Result) error {
 	ctl := c.Controller()
-	var hooks *gpu.Hooks
+	launch := &gpu.Launch{
+		Prog: c.Prog, Grid: grid, Block: block, Params: params,
+		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
+	}
+	st, err := dev.Run(launch, gpu.CombineHooks(schemeHooks(ctl, inj), ro.Hooks))
+	return launchDone(spec, c, ctl, st, err, res)
+}
+
+// schemeHooks returns a launch's scheme hooks: the controller's, with
+// the injector (if any) attached to drive its detection, or on an
+// unprotected compilation the injector's bare observation (nil when
+// there is neither).
+func schemeHooks(ctl *flame.Controller, inj *flame.Injector) *gpu.Hooks {
 	switch {
 	case ctl != nil:
 		if inj != nil {
 			ctl.Inj = inj
 		}
-		hooks = ctl.Hooks()
+		return ctl.Hooks()
 	case inj != nil:
-		hooks = &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
+		return &gpu.Hooks{OnExecuted: func(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 			inj.Observe(d, sm, w, pc)
 		}}
 	}
-	launch := &gpu.Launch{
-		Prog: c.Prog, Grid: grid, Block: block, Params: params,
-		MaxCycles: ro.MaxCycles, Stop: ro.Stop,
-	}
-	st, err := dev.Run(launch, gpu.CombineHooks(hooks, ro.Hooks))
+	return nil
+}
+
+// launchDone names a failed launch or accumulates a finished one's
+// simulator and controller stats into res.
+func launchDone(spec *KernelSpec, c *Compiled, ctl *flame.Controller, st *gpu.Stats, err error, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("%s/%s: %w", spec.Name, c.Opt.Scheme, err)
 	}

@@ -117,7 +117,7 @@ type Golden struct {
 // reference run, validating its output. Baseline is allowed: an
 // unprotected golden run anchors masking campaigns. It is the only
 // fault-free simulation a campaign makes: the main launch's schedule is
-// recorded on the way (recordSchedule), and the prune index, strata and
+// recorded on the way (scheduleRecorder), and the prune index, strata and
 // census are derived from it.
 func GoldenRun(cfg gpu.Config, spec *KernelSpec, opt Options) (*Golden, error) {
 	comp, err := Compile(spec.Prog, opt)
@@ -142,8 +142,10 @@ func GoldenRun(cfg gpu.Config, spec *KernelSpec, opt Options) (*Golden, error) {
 	}
 	copy(dev.Mem.Words(), g.InitMem)
 	res := &Result{}
+	rec := &scheduleRecorder{}
 	err = launchOne(dev, spec, comp, spec.Grid, spec.Block, spec.Params, nil,
-		&RunOpts{Hooks: g.recordSchedule()}, res)
+		&RunOpts{Hooks: rec.hooks()}, res)
+	g.schedule, g.scheduleFull = rec.events()
 	g.mainCycles = res.Stats.Cycles
 	if err == nil {
 		err = runSteps(dev, spec, steps, &RunOpts{}, res)

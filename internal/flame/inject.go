@@ -271,16 +271,15 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	if lane < 0 {
 		return
 	}
+	var addr uint32
 	switch StrikeSite(in, inj.Model, inj.excluded) {
 	case RegisterSite:
 		r := in.Defs()
 		w.Regs[lane][r] ^= bit
 		s.Reg = r
 		s.Excluded = inj.excluded[r]
-		s.Description = fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
-			d.Cyc, bit, r, lane, w.ID, sm.ID, pc, in.String())
 	case StoreDataSite:
-		addr := sm.LaneAddress(w, lane, in)
+		addr = sm.LaneAddress(w, lane, in)
 		v, err := d.Mem.Load(addr)
 		if err != nil {
 			return
@@ -288,14 +287,13 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 		if d.Mem.Store(addr, v^bit) != nil {
 			return
 		}
-		s.Description = fmt.Sprintf("cycle %d: flipped bit %#x of store data at %#x (lane %d, warp %d, SM %d)",
-			d.Cyc, bit, addr, lane, w.ID, sm.ID)
 	default:
 		return // not a corruptible instruction; stay armed
 	}
 	s.SM, s.Warp, s.Lane = sm.ID, w.ID, lane
 	s.Injected = true
 	s.InjectedAt = d.Cyc
+	s.Description = DescribeStrike(s, bit, addr, pc, in)
 	s.detectAt = d.Cyc + SensorDelay(inj.MaxDelay, inj.Rand)
 	if !inj.Injected {
 		inj.InjectedAt = d.Cyc
@@ -304,6 +302,21 @@ func (inj *Injector) Observe(d *gpu.Device, sm *gpu.SM, w *gpu.Warp, pc int) {
 	inj.Injected = true
 	inj.Detected = false // pending detection outstanding
 	inj.next++
+}
+
+// DescribeStrike formats a fired strike's Description from its site
+// (InjectedAt, Reg, SM, Warp, Lane) and the flipped bit: a register
+// strike names the register and the executed instruction pc (in); a
+// store-data strike (Reg == isa.NoReg) names the store address addr.
+// Observe and the campaign pruner both call it, so a pruned trial's
+// description is the one simulation would have written.
+func DescribeStrike(s *Strike, bit, addr uint32, pc int, in *isa.Inst) string {
+	if s.Reg == isa.NoReg {
+		return fmt.Sprintf("cycle %d: flipped bit %#x of store data at %#x (lane %d, warp %d, SM %d)",
+			s.InjectedAt, bit, addr, s.Lane, s.Warp, s.SM)
+	}
+	return fmt.Sprintf("cycle %d: flipped bit %#x of %s (lane %d, warp %d, SM %d, inst %d: %s)",
+		s.InjectedAt, bit, s.Reg, s.Lane, s.Warp, s.SM, pc, in.String())
 }
 
 // SiteKind says what a strike on an executed instruction corrupts.

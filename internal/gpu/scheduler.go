@@ -8,6 +8,9 @@ type scheduler interface {
 	pick(warps []*Warp, ready []int, cycle int64) int
 	// stalled informs the policy that its greedy/active warp stalled.
 	reset()
+	// clone returns an independent copy of the policy's state (a fork
+	// continues another device's launch).
+	clone() scheduler
 }
 
 func newScheduler(kind SchedulerKind, groupSize int) scheduler {
@@ -49,6 +52,8 @@ func (s *gtoSched) pick(warps []*Warp, ready []int, cycle int64) int {
 
 func (s *gtoSched) reset() { s.current = -1 }
 
+func (s *gtoSched) clone() scheduler { c := *s; return &c }
+
 // oldSched: always the oldest ready warp.
 type oldSched struct{}
 
@@ -64,6 +69,8 @@ func (oldSched) pick(warps []*Warp, ready []int, cycle int64) int {
 }
 
 func (oldSched) reset() {}
+
+func (oldSched) clone() scheduler { return &oldSched{} }
 
 // lrrSched: loose round-robin over ready warps.
 type lrrSched struct {
@@ -93,6 +100,8 @@ func (s *lrrSched) pick(warps []*Warp, ready []int, cycle int64) int {
 }
 
 func (s *lrrSched) reset() {}
+
+func (s *lrrSched) clone() scheduler { c := *s; return &c }
 
 // twoLevelSched: a small active set scheduled round-robin; warps that
 // stall are swapped out for pending warps.
@@ -157,3 +166,9 @@ func (s *twoLevelSched) pick(warps []*Warp, ready []int, cycle int64) int {
 }
 
 func (s *twoLevelSched) reset() { s.active = s.active[:0] }
+
+func (s *twoLevelSched) clone() scheduler {
+	c := *s
+	c.active = append([]int(nil), s.active...)
+	return &c
+}

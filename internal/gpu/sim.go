@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"flame/internal/isa"
 )
@@ -28,9 +29,9 @@ type Device struct {
 	Cyc   int64
 	Stats Stats
 
-	launch      *Launch
-	kern        *compiledKernel
-	hooks       *Hooks
+	launch *Launch
+	kern   *compiledKernel
+	hooks  *Hooks
 	// slots is the attached scheduler-slot attribution sink (Hooks.Slots),
 	// cached here so the per-cycle scan pays one pointer load when no
 	// telemetry is attached.
@@ -77,43 +78,41 @@ func (d *Device) Cycle() int64 { return d.Cyc }
 
 // Run simulates one kernel launch to completion and returns its stats.
 // Hooks may be nil. Global memory contents persist across runs (host
-// code initializes and validates them via Mem).
+// code initializes and validates them via Mem). It is Start followed by
+// Finish.
 func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
-	if err := l.Validate(&d.Cfg); err != nil {
+	if err := d.Start(l, hooks); err != nil {
 		return nil, err
+	}
+	return d.Finish()
+}
+
+// Start begins a launch: it validates it, resets the per-run
+// microarchitectural state and dispatches the initial blocks, leaving
+// the clock at cycle 0. Advance and Finish then simulate it.
+func (d *Device) Start(l *Launch, hooks *Hooks) error {
+	if err := l.Validate(&d.Cfg); err != nil {
+		return err
+	}
+	blocksPerSM := l.BlocksPerSM(&d.Cfg)
+	if blocksPerSM == 0 {
+		return fmt.Errorf("gpu: kernel %q does not fit on an SM (regs=%d shared=%dB)",
+			l.Prog.Name, l.Prog.NumRegs, l.Prog.SharedBytes)
 	}
 	d.launch = l
 	d.kern = compileKernel(l.Prog)
-	d.hooks = hooks
-	d.slots = nil
-	if hooks != nil {
-		d.slots = hooks.Slots
-	}
+	d.setHooks(hooks)
 	d.Stats = Stats{}
 	d.Cyc = 0
 	d.nextBlock = 0
 	d.blocksDone = 0
 	d.ageSeq = 0
-	d.blocksPerSM = l.BlocksPerSM(&d.Cfg)
-	if d.blocksPerSM == 0 {
-		return nil, fmt.Errorf("gpu: kernel %q does not fit on an SM (regs=%d shared=%dB)",
-			l.Prog.Name, l.Prog.NumRegs, l.Prog.SharedBytes)
-	}
+	d.blocksPerSM = blocksPerSM
 
 	// Reset per-run microarchitectural state, recycling warp and block
 	// objects (and their register-file backing) into the SM pools.
 	for _, sm := range d.SMs {
-		for _, w := range sm.Warps {
-			if w != nil {
-				sm.warpPool = append(sm.warpPool, w)
-			}
-		}
-		for _, b := range sm.Blocks {
-			sm.blockPool = append(sm.blockPool, b)
-		}
-		sm.Warps = sm.Warps[:0]
-		sm.Blocks = sm.Blocks[:0]
-		sm.liveWarps = 0
+		sm.recycle()
 		sm.lsuBusyUntil = 0
 		sm.sfuBusyUntil = 0
 		sm.dramFree = 0
@@ -130,42 +129,77 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 	for _, sm := range d.SMs {
 		sm.dispatch()
 	}
+	return nil
+}
 
+func (d *Device) setHooks(hooks *Hooks) {
+	d.hooks = hooks
+	d.slots = nil
+	if hooks != nil {
+		d.slots = hooks.Slots
+	}
+}
+
+// Advance simulates the started launch until the clock reaches cycle
+// until or the launch completes, whichever comes first, and pauses at
+// that cycle boundary: the state is exactly what the uninterrupted run
+// has before it simulates cycle until. A fast-forward jump stops at
+// until, so pausing changes nothing skip ≡ no-skip does not already
+// allow. It fails as Run does (cycle budget, Stop, simulation errors).
+func (d *Device) Advance(until int64) error {
+	l := d.launch
 	budget := d.MaxCycles
 	if l.MaxCycles > 0 {
 		budget = l.MaxCycles
 	}
+	limit := budget
+	if until < limit {
+		limit = until
+	}
 	total := l.Grid.Count()
 	skip := !d.Cfg.NoCycleSkip
 	stopPoll := 0
-	for d.blocksDone < total {
+	for {
 		// Poll the wall-clock watchdog sparsely: a time.Now syscall per
 		// iteration would dominate short kernels, and with cycle skipping
-		// one iteration can cover thousands of cycles anyway.
+		// one iteration can cover thousands of cycles anyway. The first
+		// poll comes before the completion check, so a launch forked at
+		// its end still honours an expired deadline.
 		if l.Stop != nil {
 			if stopPoll == 0 && l.Stop() {
-				return nil, fmt.Errorf("gpu: %q: %w at cycle %d; %d/%d blocks done",
+				return fmt.Errorf("gpu: %q: %w at cycle %d; %d/%d blocks done",
 					l.Prog.Name, ErrWallClock, d.Cyc, d.blocksDone, total)
 			}
 			if stopPoll++; stopPoll >= 1024 {
 				stopPoll = 0
 			}
 		}
+		if d.blocksDone >= total || d.Cyc >= until {
+			return nil
+		}
 		if d.Cyc >= budget {
-			return nil, fmt.Errorf("gpu: %q: %w after %d cycles; %d/%d blocks done",
+			return fmt.Errorf("gpu: %q: %w after %d cycles; %d/%d blocks done",
 				l.Prog.Name, ErrCycleLimit, budget, d.blocksDone, total)
 		}
 		d.issued = false
 		for _, sm := range d.SMs {
 			if err := sm.step(d.Cyc); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", d.Cyc, err)
+				return fmt.Errorf("cycle %d: %w", d.Cyc, err)
 			}
 		}
 		d.hooks.onCycle(d)
 		d.Cyc++
 		if skip && !d.issued && d.blocksDone < total {
-			d.fastForward(budget)
+			d.fastForward(limit)
 		}
+	}
+}
+
+// Finish simulates the started (possibly advanced or forked) launch to
+// completion and returns its stats.
+func (d *Device) Finish() (*Stats, error) {
+	if err := d.Advance(math.MaxInt64); err != nil {
+		return nil, err
 	}
 	d.Stats.Cycles = d.Cyc
 	return &d.Stats, nil
@@ -174,15 +208,16 @@ func (d *Device) Run(l *Launch, hooks *Hooks) (*Stats, error) {
 // fastForward advances the clock over cycles that are provably identical
 // no-ops: no SM issued this cycle, so nothing can change until the
 // earliest pending wake event (a scoreboard release, a busy unit or MSHR
-// freeing, or a hook-side event such as an RBQ pop or fault detection).
+// freeing, or a hook-side event such as an RBQ pop or fault detection),
+// and never past limit (the cycle budget or an Advance pause).
 // The skipped span's statistics are credited exactly as the naive loop
 // would have booked them, so every reported number is bit-identical with
 // skipping on or off. The wake scan runs after hooks' OnCycle (pops and
 // detections may have just unsuspended warps); a warp that is ready now
 // yields wake == from and the skip degenerates to nothing.
-func (d *Device) fastForward(budget int64) {
+func (d *Device) fastForward(limit int64) {
 	from := d.Cyc
-	wake := budget
+	wake := limit
 	for _, sm := range d.SMs {
 		if t := sm.nextWake(from); t < wake {
 			wake = t

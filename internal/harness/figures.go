@@ -244,30 +244,34 @@ type MaskingRow struct {
 }
 
 // MaskingStudy injects faults into UNPROTECTED baseline runs: without
-// detection, unmasked faults become silent data corruptions. This is the
-// motivation experiment — the SDC rate Flame exists to eliminate — and
-// the measured masking rate bounds the sensors' false-positive rate
+// detection, unmasked faults become silent data corruptions, or crash
+// the run outright (DUE or hang: the crashed column, kept out of the
+// injected count and the masking rate). This is the motivation
+// experiment — the SDC rate Flame exists to eliminate — and the
+// measured masking rate bounds the sensors' false-positive rate
 // (Section IV).
 func MaskingStudy(cfg Config, runsPerBench int, seed int64) ([]MaskingRow, error) {
 	cfg.fill()
 	var out []MaskingRow
-	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "sdc", "masking"}}
-	var inj, masked int
+	t := &stats.Table{Header: []string{"benchmark", "injected", "masked", "sdc", "crashed", "masking"}}
+	var inj, masked, sdc, crashed int
 	for _, b := range cfg.Benchmarks {
 		res, err := core.MaskingCampaign(cfg.Arch, b.Spec(), runsPerBench, seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		out = append(out, MaskingRow{Benchmark: b.Name, Result: *res})
-		t.Add(b.Name, res.Armed, res.Masked, res.SDC, fmt.Sprintf("%.0f%%", res.MaskingRate()*100))
+		t.Add(b.Name, res.Armed, res.Masked, res.SDC, res.Crashed, fmt.Sprintf("%.0f%%", res.MaskingRate()*100))
 		inj += res.Armed
 		masked += res.Masked
+		sdc += res.SDC
+		crashed += res.Crashed
 		seed++
 	}
 	cfg.printf("Unprotected fault injection (bit-exact masking study)\n%s", t)
 	if inj > 0 {
-		cfg.printf("overall bit-exact masking rate: %.1f%% (%d/%d); every unmasked fault is an SDC without Flame\n\n",
-			100*float64(masked)/float64(inj), masked, inj)
+		cfg.printf("overall bit-exact masking rate: %.1f%% (%d/%d); without Flame the other %d injected runs are SDCs; crashed runs (DUE or hang, not counted as injected): %d\n\n",
+			100*float64(masked)/float64(inj), masked, inj, sdc, crashed)
 	}
 	return out, nil
 }
